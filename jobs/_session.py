@@ -1,31 +1,10 @@
-"""Shared SparkSession builder for spark-submit entrypoints.
+"""Session and output helpers for the spark-submit entrypoints.
 
-Mirrors the conftest fixture's configuration (shuffle partitions, Arrow,
-broadcast joins disabled) so job runs and test runs see the same planner
-behaviour.
+``get_spark`` is ``repro.session.get_spark``, the same session the tests use.
 """
-import os
 import sys
 
-
-def get_spark(app: str):
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-        f"--conf spark.driver.host=127.0.0.1 "
-        f"--conf spark.ui.enabled=false "
-        "pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+from repro.session import get_spark  # noqa: F401  (re-exported for the jobs)
 
 
 def emit(df, out_path: str | None):

@@ -16,30 +16,12 @@ spread computation); BG operates on a merged ``LocalGraph`` like AG/GR.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.sampling import sample_reachable, sample_rng
+from repro.core.parallel import sum_over_ids
+from repro.core.spread import sigma_total
 from repro.graphs.localgraph import LocalGraph
-
-
-def _mean_spread(g: LocalGraph, blocked: np.ndarray, r: int, master: int) -> float:
-    total = 0
-    for i in range(r):
-        total += sample_reachable(g, sample_rng(master, i), blocked)[0].shape[0]
-    return total / r
-
-
-def _candidate_spreads(
-    g: LocalGraph, blocked: np.ndarray, cands: list[int], r: int, master: int
-) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for u in cands:
-        b = blocked.copy()
-        b[u] = True
-        out[u] = _mean_spread(g, b, r, master * 1_000_003 + u)
-    return out
 
 
 def baseline_greedy(
@@ -57,6 +39,8 @@ def baseline_greedy(
     vertex, as in the paper). With ``spark``, each round's sweep is one
     Spark job with candidates partitioned across executors.
     """
+    if r <= 0:
+        raise ValueError("r must be positive")
     blocked = np.zeros(g.n, dtype=bool)
     B: list[int] = []
     all_cands = (
@@ -69,29 +53,19 @@ def baseline_greedy(
         if not cands:
             break
         master = seed * 7_919 + rnd
-        if spark is None:
-            spreads = _candidate_spreads(g, blocked, cands, r, master)
-        else:
-            bc = g.broadcast(spark)
-            blocked_l = blocked.copy()
 
-            def fn(batches):
-                lg = bc.value
-                for pdf in batches:
-                    got = _candidate_spreads(
-                        lg, blocked_l, pdf["cand"].tolist(), r, master
-                    )
-                    yield pd.DataFrame(
-                        {"cand": list(got), "spread": list(got.values())}
-                    )
+        def totals(lg, ids):
+            out = np.zeros(len(cands))
+            for i in ids:
+                u = cands[i]
+                b_u = blocked.copy()
+                b_u[u] = True
+                out[i] = sigma_total(lg, b_u, master * 1_000_003 + u, range(r))
+            return out
 
-            cdf = spark.createDataFrame(
-                pd.DataFrame({"cand": cands})
-            ).repartition(spark.sparkContext.defaultParallelism)
-            out = cdf.mapInPandas(fn, "cand long, spread double").toPandas()
-            spreads = dict(zip(out["cand"], out["spread"]))
+        spreads = sum_over_ids(g, len(cands), len(cands), totals, spark) / r
         # max decrease == min resulting spread; ties -> smallest local id
-        x = min(cands, key=lambda u: (spreads[u], u))
+        x = min(zip(spreads, cands))[1]
         B.append(x)
         blocked[x] = True
     return B

@@ -10,6 +10,8 @@ multi-seed reduction (``merge_seeds``) the reported spread is
   2^k subsets of the k probabilistic edges (p < 1) — feasible for k ≤ ~20;
   this replaces the paper's BDD-based exact computation [39] (DESIGN.md
   §5.3) and reproduces Example 1 digit-for-digit.
+* :func:`sigma_total` is Σ σ(s, g) over given sample ids — the one
+  definition of "σ of one sample" that MCS and BaselineGreedy share.
 * :func:`mcs_spread` is Monte-Carlo simulation (Lemma 1): mean σ(s, g)
   over ``r`` sampled graphs, distributed over sample ids when a
   SparkSession is given.
@@ -19,8 +21,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import pandas as pd
 
+from repro.core.parallel import sum_over_ids
 from repro.core.sampling import reachable_from, sample_reachable, sample_rng
 from repro.graphs.localgraph import LocalGraph
 
@@ -78,12 +80,13 @@ def exact_spread(g: LocalGraph, blocked: np.ndarray | None = None) -> float:
     return float(exact_activation_probs(g, blocked).sum())
 
 
-def _mcs_partition(g: LocalGraph, blocked, master_seed: int, ids) -> tuple[int, int]:
+def sigma_total(g: LocalGraph, blocked, master_seed: int, ids) -> int:
+    """Σ σ(s, g_i) — reached vertices, seed included — over sample ids ``i``."""
     total = 0
     for sid in ids:
         verts, _ = sample_reachable(g, sample_rng(master_seed, int(sid)), blocked)
         total += verts.shape[0]
-    return total, len(ids)
+    return total
 
 
 def mcs_spread(
@@ -101,27 +104,9 @@ def mcs_spread(
     per-sample kernel and the same ``(seed, sample_id)`` RNG streams, so
     they return bit-identical results.
     """
-    if spark is None:
-        total, cnt = _mcs_partition(g, blocked, seed, range(r))
-        return total / cnt
-    bc = g.broadcast(spark)
-    blocked_l = None if blocked is None else blocked.copy()
-    master = seed
-
-    def fn(batches):
-        lg = bc.value
-        total = 0
-        cnt = 0
-        for pdf in batches:
-            t, c = _mcs_partition(lg, blocked_l, master, pdf["id"].tolist())
-            total += t
-            cnt += c
-        yield pd.DataFrame({"total": [total], "cnt": [cnt]})
-
-    out = (
-        spark.range(int(r))
-        .repartition(spark.sparkContext.defaultParallelism)
-        .mapInPandas(fn, "total long, cnt long")
-        .toPandas()
+    if r <= 0:
+        raise ValueError("r must be positive")
+    total = sum_over_ids(
+        g, r, 1, lambda lg, ids: [sigma_total(lg, blocked, seed, ids)], spark
     )
-    return float(out["total"].sum() / out["cnt"].sum())
+    return float(total[0] / r)

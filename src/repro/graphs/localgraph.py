@@ -11,7 +11,7 @@ negative at the DataFrame level); ``orig_ids`` maps back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
@@ -58,16 +58,10 @@ class LocalGraph:
     def out_degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
 
-    def without_broadcast(self) -> "LocalGraph":
-        """Copy sans broadcast handle (what actually ships to executors)."""
-        return LocalGraph(
-            self.n, self.indptr, self.indices, self.probs, self.seed, self.orig_ids
-        )
-
     def broadcast(self, spark):
-        """Broadcast this graph once per SparkContext; cached on the object."""
+        """Broadcast this graph (sans handle) once; cached on the object."""
         if self._bc is None:
-            self._bc = spark.sparkContext.broadcast(self.without_broadcast())
+            self._bc = spark.sparkContext.broadcast(replace(self, _bc=None))
         return self._bc
 
     @staticmethod

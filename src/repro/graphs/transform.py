@@ -1,7 +1,7 @@
-"""Graph transformations: multi-seed merging, blocking, degree queries.
+"""Graph transformation: multi-seed merging (paper §V).
 
-All functions are DataFrame→DataFrame (Catalyst); the driver-side CSR
-snapshot lives in ``repro.graphs.localgraph``.
+DataFrame→DataFrame (Catalyst); the driver-side CSR snapshot lives in
+``repro.graphs.localgraph``.
 """
 from __future__ import annotations
 
@@ -52,34 +52,3 @@ def merge_seeds(edges: DataFrame, seeds: Iterable[int]) -> DataFrame:
         )
     )
     return non_seed.select("src", "dst", "p").unionByName(merged)
-
-
-def block_vertices(edges: DataFrame, blockers: Iterable[int]) -> DataFrame:
-    """Remove blocked vertices (Definition 2 sets their incoming p to 0,
-    which is equivalent to deleting the vertex: it is never activated, so
-    its outgoing edges never fire)."""
-    blocked = [int(b) for b in blockers]
-    if not blocked:
-        return edges
-    arr = F.array(*[F.lit(b) for b in blocked])
-    return edges.where(
-        ~F.array_contains(arr, F.col("src")) & ~F.array_contains(arr, F.col("dst"))
-    )
-
-
-def out_degrees(edges: DataFrame) -> DataFrame:
-    """``(vertex, d_out)`` for every vertex with at least one out-edge."""
-    return edges.groupBy(F.col("src").alias("vertex")).agg(
-        F.count("*").alias("d_out")
-    )
-
-
-def out_neighbors(edges: DataFrame, vertex: int) -> list[int]:
-    """Sorted distinct out-neighbours of ``vertex``."""
-    rows = (
-        edges.where(F.col("src") == int(vertex))
-        .select("dst")
-        .distinct()
-        .collect()
-    )
-    return sorted(r["dst"] for r in rows)

@@ -89,6 +89,16 @@ def test_bg_distributed_matches_local(spark, toy):
     local = baseline_greedy(toy, 2, r=200, seed=3)
     dist = baseline_greedy(toy, 2, r=200, seed=3, spark=spark)
     assert local == dist
+    # one candidate is fewer ids than Spark partitions: most tasks get none
+    one = [toy.to_local(9)]
+    local = baseline_greedy(toy, 1, r=200, seed=3, candidates=one)
+    assert local == baseline_greedy(toy, 1, r=200, seed=3, spark=spark, candidates=one)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_bg_r_guard(toy, r):
+    with pytest.raises(ValueError):
+        baseline_greedy(toy, 1, r=r)
 
 
 def test_bg_candidate_restriction(toy):
@@ -134,6 +144,10 @@ def test_exact_distributed_matches_local(spark, toy):
     a = exact_blockers(toy, 2, theta=128, seed=2)
     d = exact_blockers(toy, 2, theta=128, seed=2, spark=spark)
     assert a == d
+    # one combination is fewer ids than Spark partitions: most tasks get none
+    one = [toy.to_local(8), toy.to_local(9)]
+    a = exact_blockers(toy, 2, theta=128, seed=2, candidates=one)
+    assert a == exact_blockers(toy, 2, theta=128, seed=2, spark=spark, candidates=one)
 
 
 def test_shared_sample_spread_matches_exact_on_deterministic_part(toy):

@@ -107,6 +107,12 @@ def test_mcs_with_blockers(toy):
     assert est == pytest.approx(3.0, abs=1e-9)  # deterministic once v5 gone
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_mcs_r_guard(toy, r):
+    with pytest.raises(ValueError):
+        mcs_spread(toy, r=r)
+
+
 def test_mcs_deterministic_in_seed(toy):
     a = mcs_spread(toy, r=500, seed=3)
     b = mcs_spread(toy, r=500, seed=3)
@@ -115,9 +121,11 @@ def test_mcs_deterministic_in_seed(toy):
 
 def test_mcs_distributed_matches_local(spark, toy):
     """The Spark path and the driver path share RNG streams bit-for-bit."""
-    local = mcs_spread(toy, r=800, seed=21)
-    dist = mcs_spread(toy, r=800, seed=21, spark=spark)
-    assert dist == pytest.approx(local, abs=1e-12)
+    # r=1 is fewer sample ids than Spark partitions: most tasks get none
+    for r in (800, 1):
+        local = mcs_spread(toy, r=r, seed=21)
+        dist = mcs_spread(toy, r=r, seed=21, spark=spark)
+        assert dist == local
 
 
 def test_mcs_distributed_with_blockers(spark, toy):

@@ -1,20 +1,10 @@
-"""Tests for seed merging, vertex blocking and degree queries."""
-import math
-
+"""Tests for multi-seed merging."""
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graphs.toy import TOY_SEED, toy_edges_df, toy_local_graph
-from repro.graphs.transform import (
-    SUPER_SEED,
-    block_vertices,
-    merge_seeds,
-    out_degrees,
-    out_neighbors,
-)
+from repro.graphs.toy import TOY_SEED, toy_edges_df
+from repro.graphs.transform import SUPER_SEED, merge_seeds
 from repro.core.spread import exact_spread
 from repro.graphs.localgraph import LocalGraph
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -79,33 +69,3 @@ def test_merge_multi_seed_spread_formula(spark):
     assert exact_spread(g) == pytest.approx(2.5)
     total = (2 - 1) + exact_spread(g)
     assert total == pytest.approx(3.5)
-
-
-def test_block_vertices_removes_incident_edges(spark, toy):
-    left = block_vertices(toy, [5])
-    rows = {(r["src"], r["dst"]) for r in left.collect()}
-    assert rows == {(1, 2), (1, 4), (9, 8), (8, 7)}
-
-
-def test_block_vertices_empty_is_noop(spark, toy):
-    assert block_vertices(toy, []).count() == toy.count()
-
-
-def test_block_then_spread_matches_paper(spark, toy):
-    """Blocking v5 on the toy graph gives E = 3 (Example 1)."""
-    g = LocalGraph.from_edges(block_vertices(toy, [5]), TOY_SEED)
-    assert exact_spread(g) == pytest.approx(3.0)
-
-
-def test_out_degrees_oracle(spark, toy):
-    assert_equivalent(
-        out_degrees(toy),
-        "SELECT src AS vertex, count(*) AS d_out FROM edges GROUP BY src",
-        edges=toy,
-    )
-
-
-def test_out_neighbors_toy(spark, toy):
-    assert out_neighbors(toy, 1) == [2, 4]
-    assert out_neighbors(toy, 5) == [3, 6, 8, 9]
-    assert out_neighbors(toy, 7) == []
